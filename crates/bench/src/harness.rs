@@ -529,8 +529,8 @@ fn service_roundtrip(iterations: usize) -> Result<BenchResult, String> {
     result
 }
 
-/// Runs the whole suite. `quick` trims iterations and figure coverage
-/// for CI smoke runs; `full` covers fig5–fig8.
+/// Runs the whole suite: fig5–fig10 in both modes; `quick` trims
+/// iterations and decode workloads for CI smoke runs.
 ///
 /// # Errors
 ///
@@ -538,18 +538,15 @@ fn service_roundtrip(iterations: usize) -> Result<BenchResult, String> {
 /// intra-run nondeterminism).
 pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
     let iterations = if quick { 5 } else { 15 };
-    let figures = if quick {
-        vec![ExperimentId::Fig5, ExperimentId::Fig7]
-    } else {
-        vec![
-            ExperimentId::Fig5,
-            ExperimentId::Fig6,
-            ExperimentId::Fig7,
-            ExperimentId::Fig8,
-        ]
-    };
     let mut benches = Vec::new();
-    for id in figures {
+    for id in [
+        ExperimentId::Fig5,
+        ExperimentId::Fig6,
+        ExperimentId::Fig7,
+        ExperimentId::Fig8,
+        ExperimentId::Fig9,
+        ExperimentId::Fig10,
+    ] {
         benches.push(run_bench(id.static_name(), iterations, || {
             figure_fingerprint(id)
         })?);
@@ -561,19 +558,18 @@ pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
     let fig7_fp = benches
         .iter()
         .find(|b| b.name == "fig7")
-        .map(|b| b.fingerprint);
+        .expect("fig7 is in the figure list")
+        .fingerprint;
     let recorded = run_bench("fig7_recorder", iterations, || {
         let _recording = rsmem_obs::recorder::enable_scoped();
         figure_fingerprint(ExperimentId::Fig7)
     })?;
-    if let Some(expected) = fig7_fp {
-        if recorded.fingerprint != expected {
-            return Err(format!(
-                "fig7_recorder: fingerprint {:016x} diverges from fig7's {expected:016x} \
-                 (recording changed results)",
-                recorded.fingerprint
-            ));
-        }
+    if recorded.fingerprint != fig7_fp {
+        return Err(format!(
+            "fig7_recorder: fingerprint {:016x} diverges from fig7's {fig7_fp:016x} \
+             (recording changed results)",
+            recorded.fingerprint
+        ));
     }
     benches.push(recorded);
     // Sampler-overhead probe: fig7 once more with the global time-series
@@ -591,14 +587,12 @@ pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
         sampler.set_enabled(false);
         result
     })?;
-    if let Some(expected) = fig7_fp {
-        if sampled.fingerprint != expected {
-            return Err(format!(
-                "fig7_sampled: fingerprint {:016x} diverges from fig7's {expected:016x} \
-                 (sampling changed results)",
-                sampled.fingerprint
-            ));
-        }
+    if sampled.fingerprint != fig7_fp {
+        return Err(format!(
+            "fig7_sampled: fingerprint {:016x} diverges from fig7's {fig7_fp:016x} \
+             (sampling changed results)",
+            sampled.fingerprint
+        ));
     }
     benches.push(sampled);
     benches.push(run_bench("decode_lattice", iterations, decode_lattice)?);

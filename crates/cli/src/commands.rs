@@ -93,7 +93,7 @@ TRACE FLAGS:
                           (suppresses the wrapped command's own output)
 
 BENCH FLAGS:
-  --quick                 CI smoke mode: fewer iterations, fig5+fig7 only
+  --quick                 CI smoke mode: fewer iterations and decode words
   --out PATH              report path (default: BENCH_<date>.json)
   --warn-timing           with --compare: timing regressions warn instead
                           of failing (fingerprint mismatches still fail)

@@ -12,8 +12,9 @@
 //!   symbol width `m` and the number of check symbols `n − k`, so one
 //!   RS(36,16) decoder exceeds the area of *two* RS(18,16) decoders.
 //!
-//! These models feed the `decoder_complexity` bench and example, which
-//! also measure this crate's software decoder as an empirical analogue.
+//! These models feed `rsmem experiment complexity` and the
+//! `decoder_complexity` example, which also measure this crate's software
+//! decoder as an empirical analogue.
 
 use crate::RsCode;
 

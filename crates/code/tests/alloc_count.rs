@@ -9,27 +9,39 @@
 use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, RsCode};
 use rsmem_gf::Symbol;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// The allocation counter is process-global, so the two tests must not
-/// run concurrently (the harness runs tests on parallel threads).
-static SERIAL: Mutex<()> = Mutex::new(());
-
+/// Counts the allocations made by the *calling* thread only. The test
+/// harness runs tests on parallel threads and allocates on its own main
+/// thread (spawning the next test, collecting output); none of that may
+/// land in a test's measurement window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so the allocator can touch it
+    // without itself allocating.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,7 +51,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_clean_batches_allocate_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     // Logging/profiling are never initialised in this test binary, so
     // the decode spans reduce to their disabled fast gates (which the
     // obs crate separately proves allocation-free).
@@ -68,7 +79,7 @@ fn warm_clean_batches_allocate_nothing() {
         .unwrap();
     assert!(outcomes.iter().all(|o| *o == BatchOutcome::Clean));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         decoder
             .decode_batch(
@@ -80,7 +91,7 @@ fn warm_clean_batches_allocate_nothing() {
             )
             .unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -91,7 +102,6 @@ fn warm_clean_batches_allocate_nothing() {
 
 #[test]
 fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     // The per-word erasure convention (one, possibly empty, set per
     // word) is what the simulator passes; empty sets must stay on the
     // allocation-free path too.
@@ -118,7 +128,7 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
         )
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         decoder
             .decode_batch(
@@ -130,7 +140,7 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
             )
             .unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

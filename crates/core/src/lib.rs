@@ -48,7 +48,7 @@
 //!
 //! Every figure and the Section-6 complexity table is an entry of
 //! [`experiments::ExperimentId`]; [`experiments::run`] returns the series
-//! data, and `cargo bench -p rsmem-bench` regenerates everything (see
+//! data, and `rsmem experiment <id>` regenerates each one (see
 //! EXPERIMENTS.md in the repository root for paper-vs-measured values).
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,8 @@
 //! Minimal dense linear algebra: LU factorization with partial pivoting.
 //!
-//! The steady-state and mean-time-to-absorption computations need one
-//! dense solve on matrices the size of the (modest) explored state space;
-//! a purpose-built LU keeps the workspace free of external linear-algebra
-//! dependencies.
+//! The mean-time-to-absorption computation needs one dense solve on
+//! matrices the size of the (modest) explored state space; a purpose-built
+//! LU keeps the workspace free of external linear-algebra dependencies.
 
 use crate::CtmcError;
 

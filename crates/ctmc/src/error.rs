@@ -32,7 +32,7 @@ pub enum CtmcError {
         /// Iterations or terms consumed.
         iterations: usize,
     },
-    /// A linear system was singular (e.g. reducible chain in steady-state).
+    /// A linear system was singular (e.g. absorption not certain from the initial state).
     SingularSystem,
     /// The path-bound solver requires an acyclic chain, but a cycle was
     /// found (e.g. a scrubbing transition).

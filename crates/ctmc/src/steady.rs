@@ -1,56 +1,10 @@
-//! Steady-state analysis and mean time to absorption.
+//! Mean time to absorption (the MTTF behind `rsmem metrics`).
 
 use crate::dense::DenseMatrix;
 use crate::model::StateSpace;
 use crate::CtmcError;
 use std::fmt::Debug;
 use std::hash::Hash;
-
-/// Solves the steady-state equations `π·Q = 0`, `Σπ = 1` by a dense solve
-/// (one generator column is replaced by the normalization constraint).
-///
-/// For chains with absorbing states the solution concentrates on the
-/// absorbing set; for irreducible chains it is the equilibrium
-/// distribution.
-///
-/// # Errors
-///
-/// [`CtmcError::SingularSystem`] if the chain has multiple closed classes
-/// (the steady state is then not unique).
-pub fn steady_state<S>(space: &StateSpace<S>) -> Result<Vec<f64>, CtmcError>
-where
-    S: Clone + Eq + Hash + Debug,
-{
-    let n = space.len();
-    // Build Qᵀ-like dense system for the row-vector equation π·Q = 0 with
-    // the last equation replaced by Σ π_i = 1.
-    let mut a = DenseMatrix::zeros(n);
-    for i in 0..n {
-        for (j, r) in space.rates().row(i) {
-            // Column j of π·Q gets +π_i·r.
-            a[(j, i)] += r;
-        }
-        a[(i, i)] -= space.exit_rate(i);
-    }
-    // Replace the last row with the normalization Σ π = 1.
-    for i in 0..n {
-        a[(n - 1, i)] = 1.0;
-    }
-    let mut b = vec![0.0; n];
-    b[n - 1] = 1.0;
-    let pi = a.solve(&b)?;
-    // Guard against spurious solutions from reducible chains: π must be a
-    // distribution and must satisfy π·Q ≈ 0.
-    if pi.iter().any(|&x| x < -1e-9) {
-        return Err(CtmcError::SingularSystem);
-    }
-    let residual = space.apply_generator(&pi)?;
-    let scale = space.max_exit_rate().max(1.0);
-    if residual.iter().any(|&r| r.abs() > 1e-8 * scale) {
-        return Err(CtmcError::SingularSystem);
-    }
-    Ok(pi.into_iter().map(|x| x.max(0.0)).collect())
-}
 
 /// Mean time to absorption from the initial state.
 ///
@@ -124,15 +78,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flip_chain_equilibrium() {
-        let space = StateSpace::explore(&Flip { a: 2.0, b: 3.0 }).unwrap();
-        let pi = steady_state(&space).unwrap();
-        // π0 = b/(a+b), π1 = a/(a+b).
-        assert!((pi[0] - 0.6).abs() < 1e-12);
-        assert!((pi[1] - 0.4).abs() < 1e-12);
-    }
-
     /// Good -λ-> Fail (absorbing).
     struct Die {
         lambda: f64,
@@ -147,14 +92,6 @@ mod tests {
                 out.push((1, self.lambda));
             }
         }
-    }
-
-    #[test]
-    fn absorbing_chain_steady_state_is_the_absorbing_state() {
-        let space = StateSpace::explore(&Die { lambda: 0.7 }).unwrap();
-        let pi = steady_state(&space).unwrap();
-        assert!(pi[0].abs() < 1e-12);
-        assert!((pi[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

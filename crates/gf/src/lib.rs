@@ -11,8 +11,6 @@
 //!   multiplication, Euclidean division, evaluation, formal derivatives
 //!   and the partial extended Euclidean algorithm used by the Sugiyama
 //!   decoder.
-//! * [`interp`] — Lagrange interpolation, used for erasure-only recovery
-//!   and as an independent oracle in tests.
 //!
 //! # Examples
 //!
@@ -40,7 +38,6 @@ pub mod bulk;
 mod error;
 mod field;
 pub mod gf2;
-pub mod interp;
 mod poly;
 pub mod primitive;
 

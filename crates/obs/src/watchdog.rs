@@ -225,6 +225,12 @@ mod tests {
         )
     }
 
+    /// Breaching rules write `slo-breach` exemplars into the global
+    /// flight recorder, whose own tests reset it under this lock.
+    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+        crate::log::test_env_lock()
+    }
+
     fn breaches(rule: &str) -> u64 {
         crate::metrics::global()
             .find_counter("rsmem_slo_breaches_total", &[("rule", rule)])
@@ -233,6 +239,7 @@ mod tests {
 
     #[test]
     fn rate_rule_fires_once_per_burst_and_recovers() {
+        let _env = env_lock();
         let (clock, sampler) = manual_sampler();
         let failures = Counter::standalone();
         sampler.track_counter("failures", failures.clone());
@@ -287,6 +294,7 @@ mod tests {
 
     #[test]
     fn quantile_rule_breaches_and_captures_a_trace_linked_exemplar() {
+        let _env = env_lock();
         let (clock, sampler) = manual_sampler();
         let latency = Histogram::with_bounds(&[100, 1_000, 100_000]);
         sampler.track_histogram("lat_us", latency.clone());
@@ -322,15 +330,15 @@ mod tests {
         let exemplar = snapshot
             .exemplars
             .iter()
-            .find(|e| e.kind == "slo-breach")
+            .find(|e| e.kind == "slo-breach" && e.code == "wd_test_latency_p99")
             .expect("breach exemplar captured");
         assert_eq!(exemplar.trace_id, 0xD00F, "linked to the slow trace");
-        assert_eq!(exemplar.code, "wd_test_latency_p99");
         assert!(exemplar.detail.contains("crossed threshold"));
     }
 
     #[test]
     fn hit_ratio_rule_ignores_idle_windows() {
+        let _env = env_lock();
         let (clock, sampler) = manual_sampler();
         let (hits, misses) = (Counter::standalone(), Counter::standalone());
         sampler.track_counter("hits", hits.clone());

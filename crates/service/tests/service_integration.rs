@@ -9,7 +9,7 @@ use rsmem_service::{Server, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot(config: ServiceConfig) -> Server {
     Server::bind(ServiceConfig {
@@ -300,12 +300,29 @@ fn backlog_overflow_sheds_with_503() {
     });
     let addr = server.local_addr();
 
-    let mut holder = TcpStream::connect(addr).expect("connect holder");
-    holder
-        .write_all(b"POST /v1/analyze HTTP/1.1\r\n")
-        .expect("partial request");
-    // Let the acceptor hand the holder to the single worker.
-    std::thread::sleep(Duration::from_millis(100));
+    // The worker takes the holder only if it is already waiting on the
+    // rendezvous queue; a holder that arrives before that (the freshly
+    // spawned worker thread may not have reached it yet) is shed. So
+    // reconnect until the in-flight gauge, which rises before the worker
+    // reads the request, shows the worker holding it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let holder = 'hold: loop {
+        let shed_before = metric(&server.metrics_text(), "rsmem_connections_shed_total");
+        let mut holder = TcpStream::connect(addr).expect("connect holder");
+        // A shed holder may already be closed, so the write may fail.
+        let _ = holder.write_all(b"POST /v1/analyze HTTP/1.1\r\n");
+        loop {
+            assert!(Instant::now() < deadline, "worker never took the holder");
+            let text = server.metrics_text();
+            if metric(&text, "rsmem_requests_inflight") == 1 {
+                break 'hold holder;
+            }
+            if metric(&text, "rsmem_connections_shed_total") > shed_before {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
 
     let (status, head, body) = get(addr, "/healthz");
     assert_eq!(status, 503, "{body}");

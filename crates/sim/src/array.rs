@@ -15,7 +15,8 @@
 //!   MBU splits into independent single-symbol errors and the model's
 //!   assumption is restored.
 //!
-//! The `ablation_mbu` bench and integration tests quantify both.
+//! `tests/array_vs_model.rs` and the `mbu_interleaving` example quantify
+//! both.
 
 use crate::arbiter::{combine, mask, verdict_of_batch, ArbiterOutput};
 use crate::events::sample_exponential;

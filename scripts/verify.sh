@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build + test the default members, then style gates.
+# Tier-1 verification: build + test every workspace crate, then style gates.
 # Usage: scripts/verify.sh   (run from anywhere inside the repo)
 set -eu
 
@@ -14,7 +14,7 @@ cargo test -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (default members, warnings are errors)"
+echo "==> cargo clippy (all workspace crates, warnings are errors)"
 cargo clippy --all-targets -- -D warnings
 
 echo "==> service loopback smoke test (boots the daemon on an ephemeral port)"

@@ -6,6 +6,8 @@ use rsmem::experiments::{
     run, ExperimentId, Figure, GRID_POINTS, PERMANENT_RATES_PER_SYMBOL_DAY, SCRUB_PERIODS_S,
     SEU_RATES_PER_BIT_DAY,
 };
+use rsmem::units::{SeuRate, Time};
+use rsmem::{CodeParams, DuplexFailCriterion, DuplexOptions, MemorySystem};
 
 fn figure(id: ExperimentId) -> Figure {
     run(id)
@@ -62,6 +64,33 @@ fn fig5_vs_fig6_same_range_claim() {
             "series {i}: duplex/simplex = {ratio}"
         );
     }
+}
+
+#[test]
+fn fig6_fixes_the_both_words_fail_criterion() {
+    // Fig. 6 sitting in Fig. 5's range is what fixes the duplex fail
+    // criterion to the paper's brace reading (both words must decode;
+    // DESIGN.md §2 note 2). The optimistic either-word reading would put
+    // the top curve about 1.8e5x lower (measured 2.2567e-5 vs 1.2732e-10
+    // at λ = 1.7e-5/bit/day, 48 h), contradicting the paper's figure.
+    let ber = |fail_criterion| {
+        MemorySystem::duplex(CodeParams::rs18_16())
+            .with_seu_rate(SeuRate::per_bit_day(1.7e-5))
+            .with_duplex_options(DuplexOptions {
+                fail_criterion,
+                ..Default::default()
+            })
+            .ber_curve(&[Time::from_hours(48.0)])
+            .expect("solve")
+            .ber[0]
+    };
+    let both = ber(DuplexFailCriterion::BothWords);
+    let either = ber(DuplexFailCriterion::EitherWord);
+    assert!(either > 0.0, "either-word BER {either:e}");
+    assert!(
+        both / either > 1e5,
+        "BothWords {both:e} vs EitherWord {either:e}"
+    );
 }
 
 #[test]

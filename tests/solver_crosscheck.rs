@@ -106,7 +106,8 @@ fn duplex_path_bounds_track_the_tiny_tail() {
 #[test]
 fn steady_state_of_scrubbed_chain_is_all_fail() {
     // With an absorbing Fail state, the long-run distribution must be a
-    // point mass on Fail regardless of scrubbing.
+    // point mass on Fail regardless of scrubbing: Fail is the only
+    // absorbing state and absorption into it is certain (finite MTTA).
     let model = SimplexModel::new(
         CodeParams::rs18_16(),
         rates(1e-3, 1e-4),
@@ -115,9 +116,10 @@ fn steady_state_of_scrubbed_chain_is_all_fail() {
         },
     );
     let space = StateSpace::explore(&model).expect("explore");
-    let pi = rsmem_ctmc::steady::steady_state(&space).expect("steady state");
     let fail = space.index_of(&model.fail_state()).expect("reachable");
-    assert!((pi[fail] - 1.0).abs() < 1e-8);
+    assert_eq!(space.absorbing_states(), vec![fail]);
+    let mtta = rsmem_ctmc::steady::mean_time_to_absorption(&space).expect("certain absorption");
+    assert!(mtta.is_finite() && mtta > 0.0, "MTTA = {mtta}");
 }
 
 #[test]
